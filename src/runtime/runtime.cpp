@@ -158,7 +158,7 @@ void Runtime::submit(const TaskType* type, InlineFunction fn,
   // The submitted counter doubles as the id allocator (ids are dense in
   // submission order, as before — one atomic instead of two).
   // mo: relaxed — only uniqueness matters for id allocation.
-  task->id = counters_.submitted.fetch_add(1, std::memory_order_relaxed);
+  task->id = submitted_.fetch_add(1, std::memory_order_relaxed);
 
   // Count the task pending before it can possibly complete; the final
   // decrement in complete_task() is what wakes taskwait().
@@ -206,6 +206,9 @@ void Runtime::submit(const TaskType* type, InlineFunction fn,
 }
 
 void Runtime::taskwait() {
+  // Publish this thread's staged external submissions before waiting on
+  // them: helping or parking must never wait on a task nobody can see.
+  sched_->flush();
   // mo: acquire pairs with complete_task's final acq_rel decrement.
   if (pending_tasks_.load(std::memory_order_acquire) != 0) {
     // Helping barrier: claim the scheduler's single helper slot and drain/
@@ -241,7 +244,7 @@ void Runtime::taskwait() {
   MutexLock lock(wait_mutex_);
   // mo: relaxed — every submission happened-before this barrier by the
   // taskwait contract; the counter read needs no extra ordering.
-  const std::uint64_t submitted = counters_.submitted.load(std::memory_order_relaxed);
+  const std::uint64_t submitted = submitted_.load(std::memory_order_relaxed);
   if (submitted != last_reset_submitted_) {
     tracker_.reset_after_barrier();
     last_reset_submitted_ = submitted;
@@ -409,7 +412,7 @@ void Runtime::complete_task(Task& task) {
 RuntimeCounters Runtime::counters() const {
   RuntimeCounters c;
   // mo: relaxed — racy monitoring snapshot by contract.
-  c.submitted = counters_.submitted.load(std::memory_order_relaxed);
+  c.submitted = submitted_.load(std::memory_order_relaxed);
   c.executed = counters_.executed.load(std::memory_order_relaxed);
   c.memoized = counters_.memoized.load(std::memory_order_relaxed);
   c.deferred = counters_.deferred.load(std::memory_order_relaxed);

@@ -253,7 +253,7 @@ class Runtime {
   std::atomic<std::uint64_t> pending_tasks_{0};
   Mutex wait_mutex_;
   CondVar all_done_cv_;
-  /// counters_.submitted at the last barrier reset: a taskwait that saw no
+  /// submitted_ at the last barrier reset: a taskwait that saw no
   /// submissions since then skips the (idempotent) reset walk entirely
   /// (concurrent taskwait callers serialize on wait_mutex_).
   std::uint64_t last_reset_submitted_ ATM_GUARDED_BY(wait_mutex_) = 0;
@@ -261,8 +261,11 @@ class Runtime {
   mutable Mutex types_mutex_;
   std::vector<std::unique_ptr<TaskType>> types_ ATM_GUARDED_BY(types_mutex_);
 
+  /// Submitted-task count, also the task-id allocator. Written only by
+  /// submitters, so it gets a cache line of its own, away from the
+  /// completion counters the workers write.
+  alignas(64) std::atomic<std::uint64_t> submitted_{0};
   struct alignas(64) AtomicCounters {
-    std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> memoized{0};
     std::atomic<std::uint64_t> deferred{0};

@@ -1,8 +1,10 @@
 #include "runtime/scheduler.hpp"
 
+#include <algorithm>
 #include <thread>
 #include <utility>
 
+#include "common/spin_lock.hpp"
 #include "common/timing.hpp"
 
 namespace atm::rt {
@@ -18,6 +20,11 @@ constexpr int kSpinRounds = 64;
 /// an opportunistic extra lane, and on few-core hosts every cycle it burns
 /// spinning is a cycle the workers — who own the backlog — do not get.
 constexpr int kHelperSpinRounds = 8;
+/// The scheduler the calling thread has staged external pushes into since
+/// it last flushed one: such a thread publishes before it acquires, so a
+/// thread that both submits externally and polls try_pop never waits on
+/// its own staged tasks. Workers never stage, so their pops skip this.
+thread_local const Scheduler* tls_staged_into = nullptr;
 }  // namespace
 
 std::unique_ptr<Scheduler> Scheduler::make(SchedPolicy policy, unsigned workers,
@@ -42,9 +49,7 @@ namespace {
 
 StealScheduler::StealScheduler(unsigned workers, TraceRecorder* tracer,
                                obs::MetricsRegistry* metrics)
-    : workers_(workers > 0 ? workers : 1),
-      inbox_mask_((workers_ & (workers_ - 1)) == 0 ? workers_ - 1 : 0),
-      tracer_(tracer) {
+    : workers_(workers > 0 ? workers : 1), tracer_(tracer) {
   const unsigned total = lane_count();
   slots_.reserve(total);
   for (unsigned w = 0; w < total; ++w) {
@@ -69,20 +74,20 @@ StealScheduler::StealScheduler(unsigned workers, TraceRecorder* tracer,
   }
 }
 
-void StealScheduler::note_push() {
+void StealScheduler::note_push(std::size_t woken) {
   if (tracer_ != nullptr && tracer_->enabled()) {
     // mo: relaxed — depth sample is monitoring only.
     tracer_->sample_depth(now_ns(), items_.load(std::memory_order_relaxed));
   }
   // seq_cst pairs with the sleeper registration in pop_blocking/helper_pop:
   // either this load sees the registered sleeper (and we wake it), or the
-  // sleeper's predicate load sees the item increment made in push() (so it
-  // never sleeps).
+  // sleeper's predicate load sees the item increment made before the
+  // publish (so it never sleeps).
   if (sleepers_.load(std::memory_order_seq_cst) > 0) {
     // The lock orders the notify against a sleeper that passed its predicate
     // check but has not yet suspended.
     MutexLock lock(park_mutex_);
-    park_cv_.notify_one();
+    for (std::size_t i = 0; i < woken; ++i) park_cv_.notify_one();
   }
 }
 
@@ -98,39 +103,102 @@ Task* StealScheduler::acquired(Task* task) {
 }
 
 void StealScheduler::push(Task* task, std::size_t lane) {
+  if (lane >= lane_count()) {
+    // External submission (master outside taskwait or any non-worker
+    // thread): staged, published a chunk at a time.
+    stage(task);
+    return;
+  }
   // Count the task BEFORE publishing it: a thief can steal it (and run the
   // fetch_sub in acquired()) the instant it lands in a deque, and the
   // counter must never transiently underflow — it feeds depth() and the
   // Figure-8 ready-depth samples.
   items_.fetch_add(1, std::memory_order_seq_cst);
-  if (lane < lane_count()) {
-    // Owner push: the lane making a successor ready keeps it local (LIFO,
-    // still warm in its cache); thieves pick it up from the top if not.
-    // Lane workers_ is the helper — the master acting as a transient worker
-    // during a taskwait; its deque is in every worker's steal sweep.
-    slots_[lane]->deque.push(task);
-  } else {
-    // External submission (master outside taskwait or any non-worker
-    // thread): spread across the worker inboxes by task id (dense in
-    // submission order — round-robin without a shared cursor). Lock-free
-    // MPSC push: one CAS, no mutex anywhere. The helper slot gets no inbox
-    // traffic: it is not always manned. Power-of-two pools (the common
-    // sizes) mask instead of dividing — the modulo sits on every external
-    // submit.
-    const std::size_t victim = inbox_mask_ != 0 ? (task->id & inbox_mask_)
-                                                : (task->id % workers_);
-    WorkerSlot& slot = *slots_[victim];
+  // Owner push: the lane making a successor ready keeps it local (LIFO,
+  // still warm in its cache); thieves pick it up from the top if not.
+  // Lane workers_ is the helper — the master acting as a transient worker
+  // during a taskwait; its deque is in every worker's steal sweep.
+  slots_[lane]->deque.push(task);
+  note_push(1);
+}
+
+void StealScheduler::stage(Task* task) {
+  tls_staged_into = this;
+  Chunk full;
+  {
+    SpinLockGuard guard(staging_lock_);
+    // mo: relaxed — the chain is private to the staging lock until publish.
+    task->inbox_next.store(staged_head_, std::memory_order_relaxed);
+    staged_head_ = task;
+    if (++staged_n_ >= stage_per_lane_ * workers_) {
+      full = take_staged();
+      // Slow start: a full chunk means the stream is long; grow the next.
+      stage_per_lane_ = std::min(stage_per_lane_ * 2, kStageMaxPerLane);
+    }
+  }
+  if (full.head != nullptr) {
+    publish(full);
+    return;
+  }
+  // seq_cst pairs with the sleeper registration (see the class comment): a
+  // lane that parked before this task was staged is seen here, and the
+  // staged task goes out now instead of waiting for the chunk to fill.
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) flush();
+}
+
+StealScheduler::Chunk StealScheduler::take_staged() {
+  Chunk chunk{staged_head_, staged_n_, next_inbox_};
+  next_inbox_ = (next_inbox_ + std::min(staged_n_, workers_)) % workers_;
+  staged_head_ = nullptr;
+  staged_n_ = 0;
+  return chunk;
+}
+
+void StealScheduler::publish(const Chunk& chunk) {
+  // Count the whole chunk before any of it is visible (see push()).
+  items_.fetch_add(chunk.n, std::memory_order_seq_cst);
+  // Deal contiguous sub-chains, one per inbox: a chunk smaller than the
+  // pool fills only chunk.n inboxes with one task each.
+  const std::uint32_t inboxes = std::min(chunk.n, workers_);
+  const std::uint32_t share = chunk.n / inboxes;
+  const std::uint32_t extra = chunk.n % inboxes;
+  Task* rest = chunk.head;
+  for (std::uint32_t i = 0; i < inboxes; ++i) {
+    Task* first = rest;
+    Task* last = first;
+    for (std::uint32_t k = 1; k < share + (i < extra ? 1 : 0); ++k) {
+      // mo: relaxed — the chunk is exclusively owned until its CAS below.
+      last = last->inbox_next.load(std::memory_order_relaxed);
+    }
+    // mo: relaxed — exclusively-owned chain walk.
+    rest = last->inbox_next.load(std::memory_order_relaxed);
+    // The staging chain is newest first, like an inbox stack, so the
+    // sub-chain splices onto the head as is and the drainer's reversal
+    // restores submission order.
+    WorkerSlot& slot = *slots_[(chunk.first_inbox + i) % workers_];
     // mo: relaxed — head is only a CAS expected value; the CAS re-validates.
     Task* head = slot.inbox_head.load(std::memory_order_relaxed);
     do {
       // mo: relaxed — the publishing CAS below releases the link write.
-      task->inbox_next.store(head, std::memory_order_relaxed);
-      // mo: release publishes task->inbox_next to the acquiring drainer;
-      // relaxed on failure (retry rereads head).
+      last->inbox_next.store(head, std::memory_order_relaxed);
+      // mo: release publishes every link of the sub-chain to the acquiring
+      // drainer; relaxed on failure (retry rereads head).
     } while (!slot.inbox_head.compare_exchange_weak(
-        head, task, std::memory_order_release, std::memory_order_relaxed));
+        head, first, std::memory_order_release, std::memory_order_relaxed));
   }
-  note_push();
+  note_push(inboxes);
+}
+
+void StealScheduler::flush() {
+  if (tls_staged_into == this) tls_staged_into = nullptr;
+  Chunk chunk;
+  {
+    SpinLockGuard guard(staging_lock_);
+    stage_per_lane_ = 1;
+    if (staged_n_ == 0) return;
+    chunk = take_staged();
+  }
+  publish(chunk);
 }
 
 Task* StealScheduler::take_inbox_chain(WorkerSlot& victim, std::size_t* n) {
@@ -368,6 +436,7 @@ void StealScheduler::note_starved(unsigned lane) {
 }
 
 Task* StealScheduler::try_pop(unsigned lane) {
+  if (tls_staged_into == this) flush();
   WorkerSlot& me = *slots_[lane];
   if (Task* task = acquire_local(lane)) {
     // Work arrived locally: stop sitting out steal sweeps.
@@ -408,6 +477,9 @@ Task* StealScheduler::pop_blocking(unsigned worker) {
     // then re-check for work under the lock: a push that raced our
     // registration is seen either here or by its sleeper check.
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    // Publish the external staging before sleeping: a submitter that staged
+    // a task before seeing this registration relies on it (class comment).
+    flush();
     {
       MutexLock lock(park_mutex_);
       // mo: acquire on shutdown_ pairs with shutdown()'s release store;
@@ -443,6 +515,7 @@ Task* StealScheduler::helper_pop(const std::function<bool()>& quit) {
     // runtime calls notify_helpers() when it flips, so the wakeup is
     // exactly the push/quit/shutdown union, never a timeout poll.
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    flush();  // as in pop_blocking: nothing staged waits on a sleeper
     {
       MutexLock lock(park_mutex_);
       // mo: acquire on shutdown_ pairs with shutdown()'s release store;
@@ -465,6 +538,9 @@ void StealScheduler::notify_helpers() {
 }
 
 void StealScheduler::shutdown() {
+  // The drain after shutdown spins on items_ and never parks, so nothing
+  // else would publish what is still staged.
+  flush();
   // mo: release pairs with the acquire loads in the pop paths so a worker
   // that observes shutdown also observes everything queued before it.
   shutdown_.store(true, std::memory_order_release);

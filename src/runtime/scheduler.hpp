@@ -5,10 +5,10 @@
 //    (ReadyQueue). Every push and pop crosses the same lock; kept as the
 //    A/B baseline (`--sched central`).
 //  * StealScheduler — per-worker Chase-Lev deques (LIFO local push/pop,
-//    FIFO steals) + per-worker inboxes for external submissions (the master
-//    round-robins across them), with a spin-then-steal-then-park idle
-//    protocol. This is the default: it removes the central lock from the
-//    task hot path.
+//    FIFO steals) + per-worker inboxes for external submissions (staged by
+//    the submitter and dealt across them a chunk at a time), with a
+//    spin-then-steal-then-park idle protocol. This is the default: it
+//    removes the central lock from the task hot path.
 //
 // PR 5 adds the helper lane: a transient extra slot through which the
 // master drains and steals tasks while it sits at a taskwait (helping
@@ -90,8 +90,13 @@ class Scheduler {
   /// the helper's quit condition — "all tasks done" — flips).
   virtual void notify_helpers() = 0;
 
-  /// Release all blocked workers; subsequent pops drain remaining tasks and
-  /// then return nullptr.
+  /// Publish every external push still held back by the submitter side, so
+  /// that acquirers can see it. The runtime calls this before a taskwait
+  /// helps or parks. A scheduler that publishes on push has nothing to do.
+  virtual void flush() {}
+
+  /// Release all blocked workers; subsequent pops drain remaining tasks
+  /// (staged ones included) and then return nullptr.
   virtual void shutdown() = 0;
 
   /// Re-arm after shutdown (used by tests that restart a pool).
@@ -150,8 +155,32 @@ class CentralScheduler final : public Scheduler {
 ///
 /// The inbox is a lock-free intrusive MPSC stack (Treiber push through
 /// Task::inbox_next, wholesale exchange-drain, reversed to submission
-/// order): an external submission is one fetch_add + one CAS — no mutex
-/// anywhere on the submit path.
+/// order). External submissions do not touch it one by one: push() stages
+/// them on a submitter-side chain under an uncontended spinlock, and a
+/// whole chunk is published at once — one items_ add, the chunk dealt in
+/// contiguous sub-chains round-robin across the worker inboxes (one CAS
+/// per inbox), one wake-up round. Per-task cross-core traffic on the
+/// submit path drops to the staging lock's own line. A chunk holds one
+/// task per worker after every flush and doubles on each full publish up
+/// to kStageMaxPerLane per worker (slow start: a few tasks reach idle
+/// workers at once, a long stream travels in large chunks). Dealing, not
+/// handing a chunk to one inbox, keeps one worker from adopting it whole
+/// as an unstealable private batch.
+///
+/// Liveness: no staged task waits on a thread that sleeps. The staging is
+/// published (1) when a chunk fills; (2) by flush(), which
+/// Runtime::taskwait calls before helping or parking; (3) by shutdown()
+/// before it raises the flag (the shutdown drain never parks); (4) by a
+/// lane that has just registered as a sleeper (pop_blocking/helper_pop);
+/// (5) by the submitter right after staging whenever its seq_cst sleepers_
+/// load reads > 0; (6) by a thread that staged tasks itself when it next
+/// calls try_pop (a submitter that also polls for work never waits on its
+/// own staging). Points 4 and 5 pair up: a sleeper registers (seq_cst) and
+/// then takes the staging lock; the submitter stages under that lock and
+/// then loads sleepers_. Either the sleeper's critical section comes after
+/// the submitter's and it publishes the task itself, or it came before,
+/// and then its registration happens-before the submitter's load, which
+/// sees it. A staged task thus waits at most one spin phase of an idle lane.
 ///
 /// Slot layout: `workers` worker slots plus one helper slot (index ==
 /// workers) owned by the master while it helps at a taskwait. The helper
@@ -204,14 +233,18 @@ class StealScheduler final : public Scheduler {
   Task* try_pop(unsigned worker) override;
   Task* helper_pop(const std::function<bool()>& quit) override;
   void notify_helpers() override;
+  void flush() override;
   void shutdown() override;
   void reset() override;
+  /// Published tasks only: staged external pushes are not counted.
   [[nodiscard]] std::size_t depth() const noexcept override {
     // mo: relaxed — racy monitoring gauge by contract.
     return items_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] SchedulerStats stats() const noexcept override;
 
+  /// Largest external chunk, in tasks per worker inbox.
+  static constexpr std::uint32_t kStageMaxPerLane = 16;
   /// Adaptive batch-cap bounds (exposed for tests/benches).
   static constexpr std::uint32_t kBatchMin = 64;
   static constexpr std::uint32_t kBatchMax = 512;
@@ -265,7 +298,22 @@ class StealScheduler final : public Scheduler {
     AtomicCell<std::uint64_t> inbox_drained_tasks{0};
   };
 
-  void note_push();
+  /// A chain of staged tasks taken out for publication: newest first
+  /// through inbox_next, `n` long, dealt starting at inbox `first_inbox`.
+  struct Chunk {
+    Task* head = nullptr;
+    std::uint32_t n = 0;
+    unsigned first_inbox = 0;
+  };
+
+  /// Wake up to `woken` parked lanes if any lane is registered as a sleeper.
+  void note_push(std::size_t woken);
+  /// Stage one external push; publishes the chunk when it is full.
+  void stage(Task* task);
+  /// Take the whole staging out (caller holds staging_lock_).
+  Chunk take_staged() ATM_REQUIRES(staging_lock_);
+  /// Count, deal and announce a chunk taken out of the staging.
+  void publish(const Chunk& chunk);
   Task* acquired(Task* task);
   /// Exchange `victim`'s inbox chain out and return it in submission order
   /// (count in *n). nullptr when empty (or a producer is mid-publish).
@@ -285,16 +333,25 @@ class StealScheduler final : public Scheduler {
   [[nodiscard]] unsigned lane_count() const noexcept { return workers_ + 1; }
 
   const unsigned workers_;
-  /// workers_ - 1 when workers_ is a power of two (mask the inbox pick
-  /// instead of dividing), 0 otherwise.
-  const std::size_t inbox_mask_;
   /// workers_ worker slots + the helper slot at index workers_.
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
 
+  /// External-push staging (see the class comment), on its own cache line:
+  /// only external submitters touch it, plus a lane about to park.
+  alignas(64) TaskSpinLock staging_lock_;
+  /// Staged tasks, newest first through inbox_next.
+  Task* staged_head_ ATM_GUARDED_BY(staging_lock_) = nullptr;
+  std::uint32_t staged_n_ ATM_GUARDED_BY(staging_lock_) = 0;
+  /// Chunk size in tasks per worker inbox (slow start: 1 after a flush).
+  std::uint32_t stage_per_lane_ ATM_GUARDED_BY(staging_lock_) = 1;
+  /// Inbox the next chunk's first sub-chain goes to (per-chunk round robin).
+  unsigned next_inbox_ ATM_GUARDED_BY(staging_lock_) = 0;
+
   /// Tasks across all deques + inboxes; also the Figure-8 depth signal.
   /// (Worker-private batches are excluded — they are committed to an owner;
-  /// thieves detect them via the per-slot batch_size gauge instead.)
-  std::atomic<std::size_t> items_{0};
+  /// thieves detect them via the per-slot batch_size gauge instead. Staged
+  /// external pushes are excluded too: they are counted when published.)
+  alignas(64) std::atomic<std::size_t> items_{0};
   std::atomic<bool> shutdown_{false};
 
   /// Adaptive private-batch cap shared by all owners (kBatchMin..kBatchMax).
@@ -303,7 +360,9 @@ class StealScheduler final : public Scheduler {
   /// batch-hoarded): the starvation signal that shrinks batch_cap_.
   std::atomic<std::uint64_t> steal_misses_{0};
 
-  std::atomic<int> sleepers_{0};
+  /// Lanes registered to park. The submitter loads it after every staged
+  /// push, so it sits apart from items_, which every acquire writes.
+  alignas(64) std::atomic<int> sleepers_{0};
   /// Parking lot only — never on the task hot path: pushers touch it solely
   /// when a registered sleeper exists (see note_push).
   Mutex park_mutex_;

@@ -525,9 +525,10 @@ TEST(SchedStress, TraceLanesStayConsistentUnderStealing) {
 
 // --- MPSC inboxes (lock-free external submission path) ----------------------
 
-// Many producer threads hammer the lock-free inboxes while workers drain
-// them (private batch + deque spill + steals): every task is consumed
-// exactly once, none lost, none duplicated.
+// Many producer threads share the external staging and its chunked
+// publication to the lock-free inboxes while workers drain them (private
+// batch + deque spill + steals): every task is consumed exactly once, none
+// lost, none duplicated.
 TEST(StealScheduler, MpscInboxManyProducersExactlyOnce) {
   constexpr unsigned kWorkers = 3;
   constexpr int kProducers = 4;
@@ -535,9 +536,6 @@ TEST(StealScheduler, MpscInboxManyProducersExactlyOnce) {
   constexpr int kTasks = kProducers * kPerProducer;
   auto sched = Scheduler::make(SchedPolicy::Steal, kWorkers, nullptr);
   std::vector<Task> tasks(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    tasks[i].id = static_cast<TaskId>(i);  // spreads across inboxes
-  }
   std::vector<std::atomic<std::uint8_t>> taken(kTasks);
   std::atomic<int> consumed{0};
 

@@ -119,7 +119,10 @@ struct SyntheticResult {
 };
 
 SyntheticResult run_scan_workload(AtmEngine* engine, bool compressible = false) {
-  rt::Runtime runtime({.num_threads = 1});
+  // One executor in submission order: the exact hit counts below assume the
+  // FIFO L1 sees the lookups in that order, so the master must not help at
+  // the taskwait (a helping master runs scan tasks beside the worker).
+  rt::Runtime runtime({.num_threads = 1, .help_taskwait = false});
   runtime.attach_memoizer(engine);
   const auto* type = runtime.register_type({.name = "scan", .memoizable = true,
                                             .atm = {}});
@@ -180,8 +183,15 @@ AtmConfig scan_config(bool l2, bool compress = false) {
 
 class TieredEngineTest : public ::testing::Test {
  protected:
+  void SetUp() override {
+    // One file per test case: ctest runs gtest cases as separate parallel
+    // processes in the same directory, so a shared fixture path races.
+    store_path_ = std::string("test_tiered_engine_") +
+                  ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                  ".atmstore";
+  }
   void TearDown() override { std::remove(store_path_.c_str()); }
-  std::string store_path_ = "test_tiered_engine.atmstore";
+  std::string store_path_;
 };
 
 // Acceptance (b): with the L2 tier, the same tiny L1 yields a strictly
