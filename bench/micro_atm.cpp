@@ -105,8 +105,10 @@ BENCHMARK_TEMPLATE(BM_Sched_PushPop, rt::SchedPolicy::Steal)
     ->UseRealTime();
 
 // External-submission flavor: every push arrives from a non-worker lane (the
-// master's path): round-robin inboxes for steal, the same global lock for
-// central.
+// master's path): staged, published and dealt to the worker inboxes for
+// steal, the same global lock for central. A thread pushes only a task it
+// holds — its own at the start, then whatever it popped — because an inbox
+// links its tasks intrusively and a task may be queued only once.
 template <rt::SchedPolicy kPolicy>
 void BM_Sched_ExternalPushPop(benchmark::State& state) {
   if (state.thread_index() == 0) {
@@ -114,11 +116,16 @@ void BM_Sched_ExternalPushPop(benchmark::State& state) {
                                   nullptr);
   }
   const auto me = static_cast<unsigned>(state.thread_index());
-  const auto external_lane = static_cast<std::size_t>(state.threads());
-  rt::Task* mine = &g_sched_tasks[me];
+  constexpr std::size_t kExternalLane = ~std::size_t{0};
+  std::vector<rt::Task*> held;
+  held.reserve(g_sched_tasks.size());
+  held.push_back(&g_sched_tasks[me]);
   for (auto _ : state) {
-    g_sched->push(mine, external_lane);
-    benchmark::DoNotOptimize(g_sched->try_pop(me));
+    if (!held.empty()) {
+      g_sched->push(held.back(), kExternalLane);
+      held.pop_back();
+    }
+    if (rt::Task* got = g_sched->try_pop(me)) held.push_back(got);
   }
   if (state.thread_index() == 0) {
     g_sched->shutdown();

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   entries.push_back({"sched_pushpop_central", pushpop_ns(rt::SchedPolicy::Central, 0)});
   entries.push_back({"sched_pushpop_steal_local", pushpop_ns(rt::SchedPolicy::Steal, 0)});
   entries.push_back({"sched_pushpop_steal_external",
-                     pushpop_ns(rt::SchedPolicy::Steal, 1)});
+                     pushpop_ns(rt::SchedPolicy::Steal, ~std::size_t{0})});
 
   // --- Hash key: gathered vs planned ----------------------------------------
   MultiRegionKeyFixture fx;

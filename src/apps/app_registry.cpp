@@ -91,7 +91,6 @@ void finalize_result(RunResult& result, rt::Runtime& runtime, AtmEngine* engine,
   result.atm.dep_exact_hits = dep.exact_hits;
   result.atm.dep_tree_fallbacks = dep.tree_fallbacks;
   result.atm.prune_scans = dep.prune_scans;
-  result.sched = runtime.sched_stats();
   if (config.tracing) {
     const auto& tracer = runtime.tracer();
     for (std::size_t lane = 0; lane < tracer.lane_count(); ++lane) {

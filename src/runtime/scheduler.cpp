@@ -91,15 +91,26 @@ void StealScheduler::note_push(std::size_t woken) {
   }
 }
 
-Task* StealScheduler::acquired(Task* task) {
+Task* StealScheduler::acquired(WorkerSlot& me, Task* task) {
+  // One items_ subtraction per task would be a read-modify-write of a line
+  // every lane and the submitter share. While the deque still holds work
+  // the count is deferred instead: items_ then reads high, never low, so no
+  // lane parks while stealable work exists.
+  ++me.unsettled;
+  if (me.deque.empty_estimate()) settle(me);
+  return task;
+}
+
+void StealScheduler::settle(WorkerSlot& me) {
+  if (me.unsettled == 0) return;
   // mo: relaxed — items_ is a conservatively-ordered gauge; the push side
   // (seq_cst fetch_add before publish) provides the never-underflow bound.
-  items_.fetch_sub(1, std::memory_order_relaxed);
+  items_.fetch_sub(me.unsettled, std::memory_order_relaxed);
+  me.unsettled = 0;
   if (tracer_ != nullptr && tracer_->enabled()) {
     // mo: relaxed — depth sample is monitoring only.
     tracer_->sample_depth(now_ns(), items_.load(std::memory_order_relaxed));
   }
-  return task;
 }
 
 void StealScheduler::push(Task* task, std::size_t lane) {
@@ -110,7 +121,7 @@ void StealScheduler::push(Task* task, std::size_t lane) {
     return;
   }
   // Count the task BEFORE publishing it: a thief can steal it (and run the
-  // fetch_sub in acquired()) the instant it lands in a deque, and the
+  // fetch_sub in settle()) the instant it lands in a deque, and the
   // counter must never transiently underflow — it feeds depth() and the
   // Figure-8 ready-depth samples.
   items_.fetch_add(1, std::memory_order_seq_cst);
@@ -226,129 +237,42 @@ Task* StealScheduler::take_inbox_chain(WorkerSlot& victim, std::size_t* n) {
   return ordered;
 }
 
-Task* StealScheduler::adopt_chain(WorkerSlot& me, Task* chain, std::size_t n,
-                                  std::uint32_t cap) {
-  // Install a drained inbox chain (submission order) as `me`'s private
-  // batch: the first `cap` tasks become two-pointer-move acquisitions, the
-  // remainder spills to the deque where other thieves can reach it. The
-  // batched tasks leave the globally-visible pool now: account them in one
-  // bulk decrement instead of one per task (the batch_size gauge keeps them
-  // visible to starvation detection). Returns the first task, consumed.
-  me.batch_head = chain;
-  Task* tail = chain;
-  std::size_t kept = 1;
-  for (; kept < cap; ++kept) {
-    // mo: relaxed — exclusively-owned chain walk (drained above).
-    Task* next = tail->inbox_next.load(std::memory_order_relaxed);
-    if (next == nullptr) break;
-    tail = next;
+Task* StealScheduler::adopt_chain(WorkerSlot& me, Task* chain, std::size_t n) {
+  me.inbox_drains.store(me.inbox_drains.load() + 1);
+  me.inbox_drained_tasks.store(me.inbox_drained_tasks.load() + n);
+  // mo: relaxed — the chain is exclusively owned after its drain; each
+  // deque.push publishes its task to thieves.
+  Task* rest = chain->inbox_next.load(std::memory_order_relaxed);
+  chain->inbox_next.store(nullptr, std::memory_order_relaxed);
+  while (rest != nullptr) {
+    // mo: relaxed — exclusively-owned chain walk, as above.
+    Task* next = rest->inbox_next.load(std::memory_order_relaxed);
+    rest->inbox_next.store(nullptr, std::memory_order_relaxed);
+    me.deque.push(rest);
+    rest = next;
   }
-  // mo: relaxed — exclusively-owned chain split.
-  Task* spill = tail->inbox_next.load(std::memory_order_relaxed);
-  tail->inbox_next.store(nullptr, std::memory_order_relaxed);
-  if (spill == nullptr) kept = n;  // whole chain fit in the batch
-  // mo: relaxed — bulk gauge decrement; see acquired() for the bound.
-  items_.fetch_sub(kept, std::memory_order_relaxed);
-  while (spill != nullptr) {
-    // mo: relaxed — exclusively-owned spill walk; deque.push publishes.
-    Task* next = spill->inbox_next.load(std::memory_order_relaxed);
-    spill->inbox_next.store(nullptr, std::memory_order_relaxed);
-    me.deque.push(spill);
-    spill = next;
-  }
-  Task* task = me.batch_head;
-  // mo: relaxed — batch links are owner-private from here on.
-  me.batch_head = task->inbox_next.load(std::memory_order_relaxed);
-  task->inbox_next.store(nullptr, std::memory_order_relaxed);
-  me.batch_size.store(static_cast<std::uint32_t>(kept) - 1);
-  return task;
-}
-
-Task* StealScheduler::adopt_batch(WorkerSlot& me, Task* const* tasks,
-                                  std::size_t n) {
-  // Install a steal_many() batch as `me`'s private FIFO — the same shape
-  // inbox adoption produces: tasks[0] is consumed now, tasks[1..n) chain
-  // through inbox_next in age order (oldest first, preserving the FIFO
-  // steal discipline). The winning top-CAS made the batch exclusively ours,
-  // so the links are plain owner-private writes; one bulk items_ decrement
-  // accounts the whole batch and batch_size keeps it visible to starvation
-  // detection, exactly like adopt_chain.
-  for (std::size_t i = 1; i < n; ++i) {
-    // mo: relaxed — exclusively-owned chain build.
-    tasks[i]->inbox_next.store(i + 1 < n ? tasks[i + 1] : nullptr,
-                               std::memory_order_relaxed);
-  }
-  me.batch_head = n > 1 ? tasks[1] : nullptr;
-  // mo: relaxed — the consumed task leaves every chain now.
-  tasks[0]->inbox_next.store(nullptr, std::memory_order_relaxed);
-  me.batch_size.store(static_cast<std::uint32_t>(n) - 1);
-  // mo: relaxed — bulk gauge decrement; see acquired() for the bound.
-  items_.fetch_sub(n, std::memory_order_relaxed);
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    // mo: relaxed — depth sample is monitoring only.
-    tracer_->sample_depth(now_ns(), items_.load(std::memory_order_relaxed));
-  }
-  return tasks[0];
+  return acquired(me, chain);
 }
 
 Task* StealScheduler::acquire_local(unsigned lane) {
   WorkerSlot& slot = *slots_[lane];
-  if (slot.batch_head != nullptr) {
-    // Private batch: two pointer moves, no deque fence, no items_ traffic
-    // (the whole batch was accounted when it was carved off).
-    Task* task = slot.batch_head;
-    // mo: relaxed — batch links are owner-private.
-    slot.batch_head = task->inbox_next.load(std::memory_order_relaxed);
-    task->inbox_next.store(nullptr, std::memory_order_relaxed);
-    slot.batch_size.store(slot.batch_size.load() - 1);
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      // mo: relaxed — depth sample is monitoring only.
-      tracer_->sample_depth(now_ns(), items_.load(std::memory_order_relaxed));
-    }
-    return task;
-  }
-  if (Task* task = slot.deque.pop()) return acquired(task);
+  if (Task* task = slot.deque.pop()) return acquired(slot, task);
+  settle(slot);  // the deque ran dry behind a stale emptiness check
   // Drain the inbox wholesale: a k-task submission burst costs one exchange
-  // here, not k acquires. The first batch_cap_ stay in the private FIFO;
-  // the remainder spills to the deque where thieves can reach it. The cap
-  // trades deque-fence amortization against steal visibility: batched
-  // tasks are invisible to thieves until consumed, so the cap adapts —
-  // doubling per SUCCESSFUL drain while no thief has starved since this
-  // owner's last drain (an idle lane probing an empty inbox is not
-  // evidence that batching is safe, so empty probes leave it alone),
-  // halved (in acquire_steal) whenever a sweep misses while work exists.
+  // here, not k acquires, and all but the first task stay stealable.
   std::size_t n = 0;
   Task* chain = take_inbox_chain(slot, &n);
-  if (chain == nullptr) return nullptr;
-  slot.inbox_drains.store(slot.inbox_drains.load() + 1);
-  slot.inbox_drained_tasks.store(slot.inbox_drained_tasks.load() + n);
-  // mo: relaxed — the miss counter and cap are heuristics; stale reads only
-  // delay an adaptation step.
-  const std::uint64_t misses = steal_misses_.load(std::memory_order_relaxed);
-  std::uint32_t cap = batch_cap_.load(std::memory_order_relaxed);
-  if (misses == slot.last_misses) {
-    if (cap < kBatchMax) {
-      cap *= 2;
-      // mo: relaxed — heuristic knob; no data is published through it.
-      batch_cap_.store(cap, std::memory_order_relaxed);
-    }
-  } else {
-    slot.last_misses = misses;
-  }
-  return adopt_chain(slot, chain, n, cap);
+  return chain != nullptr ? adopt_chain(slot, chain, n) : nullptr;
 }
 
 Task* StealScheduler::acquire_steal(unsigned lane) {
   WorkerSlot& me = *slots_[lane];
   // One full sweep over the other lanes (workers + the helper slot) in this
   // lane's locality ring order, starting at the last productive victim:
-  // deque top first (steal-half — up to half the victim's backlog in one
-  // CAS, bounded by the adaptive batch cap), then the victim's inbox so a
-  // long-running victim cannot strand external submissions behind its back.
-  bool hoarded = false;
+  // deque top first (steal-half — up to kMaxSteal of the victim's backlog
+  // in one CAS), then the victim's inbox so a long-running victim cannot
+  // strand external submissions behind its back.
   me.steal_attempts.store(me.steal_attempts.load() + 1);
-  // mo: relaxed — the cap is a heuristic; any recent value serves.
-  const auto cap = static_cast<std::size_t>(batch_cap_.load(std::memory_order_relaxed));
   Task* batch[WorkStealDeque::kMaxSteal];
   const auto order_n = static_cast<std::uint32_t>(me.victim_order.size());
   const std::uint32_t start = me.victim_cursor < order_n ? me.victim_cursor : 0;
@@ -356,44 +280,25 @@ Task* StealScheduler::acquire_steal(unsigned lane) {
     const std::uint32_t idx = start + i < order_n ? start + i : start + i - order_n;
     const std::uint32_t v = me.victim_order[idx];
     WorkerSlot& victim = *slots_[v];
-    if (const std::size_t got = victim.deque.steal_many(batch, cap)) {
-      me.victim_cursor = idx;  // keep milking a productive victim
-      me.backoff_skip = 0;
-      me.backoff_width = 0;
-      if (steal_batch_hist_ != nullptr) steal_batch_hist_->record(got);
-      if (victim_distance_hist_ != nullptr) {
-        victim_distance_hist_->record(ring_distance(lane, v, lane_count()));
-      }
-      return adopt_batch(me, batch, got);
-    }
-    // Adopt the victim's stranded inbox as our own batch (+ deque spill):
-    // redistributes a whole burst in one exchange, and the adopted tasks
-    // cost two pointer moves each instead of a deque fence round trip —
-    // this is the helper's main acquisition path during a wave drain.
+    const std::size_t got = victim.deque.steal_many(batch, WorkStealDeque::kMaxSteal);
     std::size_t n = 0;
-    if (Task* chain = take_inbox_chain(victim, &n)) {
-      me.victim_cursor = idx;
-      me.backoff_skip = 0;
-      me.backoff_width = 0;
-      if (victim_distance_hist_ != nullptr) {
-        victim_distance_hist_->record(ring_distance(lane, v, lane_count()));
-      }
-      me.inbox_drains.store(me.inbox_drains.load() + 1);
-      me.inbox_drained_tasks.store(me.inbox_drained_tasks.load() + n);
-      return adopt_chain(me, chain, n, static_cast<std::uint32_t>(cap));
+    Task* chain = got == 0 ? take_inbox_chain(victim, &n) : nullptr;
+    if (got == 0 && chain == nullptr) continue;
+    me.victim_cursor = idx;  // keep milking a productive victim
+    me.backoff_skip = 0;
+    me.backoff_width = 0;
+    if (victim_distance_hist_ != nullptr) {
+      victim_distance_hist_->record(ring_distance(lane, v, lane_count()));
     }
-    if (victim.batch_size.load() > 0) hoarded = true;
+    // The victim's stranded inbox: a whole burst moves in one exchange.
+    if (chain != nullptr) return adopt_chain(me, chain, n);
+    if (steal_batch_hist_ != nullptr) steal_batch_hist_->record(got);
+    // The winning top-CAS made the batch ours; all but its oldest task go
+    // onto this lane's deque, oldest at the top, stealable in turn.
+    for (std::size_t k = 1; k < got; ++k) me.deque.push(batch[k]);
+    return acquired(me, batch[0]);
   }
   me.victim_cursor = 0;  // full miss: restart at the nearest ring next time
-  // Full miss. Remember whether work existed — queued (items_) or hoarded
-  // in an owner's private batch; the miss is only COUNTED (and the batch
-  // cap halved) if this lane ends up parking with the flag set: a sweep
-  // that misses transiently between productive acquires is noise, but a
-  // lane that gives up and sleeps while work sits in someone's private
-  // batch genuinely starved because of batching.
-  // mo: relaxed — starvation heuristic; pop_blocking re-checks with seq_cst
-  // before actually sleeping.
-  me.missed_with_work = hoarded || items_.load(std::memory_order_relaxed) > 0;
   me.steal_fails.store(me.steal_fails.load() + 1);
   // Exponential steal backoff: consecutive full misses double the number of
   // sweeps this lane sits out (local acquires are never skipped), capped so
@@ -411,8 +316,6 @@ SchedulerStats StealScheduler::stats() const noexcept {
   SchedulerStats s;
   // mo: relaxed — racy monitoring snapshot by contract.
   s.depth = items_.load(std::memory_order_relaxed);
-  s.inbox_batch_cap = batch_cap_.load(std::memory_order_relaxed);
-  s.steal_misses = steal_misses_.load(std::memory_order_relaxed);
   for (const auto& slot : slots_) {
     s.steal_attempts += slot->steal_attempts.load();
     s.steal_fails += slot->steal_fails.load();
@@ -420,19 +323,6 @@ SchedulerStats StealScheduler::stats() const noexcept {
     s.inbox_drained_tasks += slot->inbox_drained_tasks.load();
   }
   return s;
-}
-
-void StealScheduler::note_starved(unsigned lane) {
-  WorkerSlot& me = *slots_[lane];
-  if (!me.missed_with_work) return;
-  me.missed_with_work = false;
-  // mo: relaxed — heuristic counters/knobs; no data published through them.
-  steal_misses_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint32_t cap = batch_cap_.load(std::memory_order_relaxed);
-  if (cap > kBatchMin) {
-    batch_cap_.store(cap / 2 > kBatchMin ? cap / 2 : kBatchMin,
-                     std::memory_order_relaxed);
-  }
 }
 
 Task* StealScheduler::try_pop(unsigned lane) {
@@ -471,7 +361,6 @@ Task* StealScheduler::pop_blocking(unsigned worker) {
     }
     // mo: acquire pairs with shutdown()'s release store.
     if (shutdown_.load(std::memory_order_acquire)) continue;  // drain, never park
-    note_starved(worker);
 
     // Park. Register as a sleeper first (seq_cst, pairing with note_push),
     // then re-check for work under the lock: a push that raced our
@@ -497,19 +386,24 @@ Task* StealScheduler::pop_blocking(unsigned worker) {
 
 Task* StealScheduler::helper_pop(const std::function<bool()>& quit) {
   const unsigned lane = workers_;  // the helper slot
-  for (;;) {
+  // The helper settles its acquisitions before it leaves the slot: a
+  // worker's shutdown drain waits for items_ to read zero.
+  const auto done = [&] {
     // mo: acquire pairs with shutdown()'s release store.
-    if (quit() || shutdown_.load(std::memory_order_acquire)) return nullptr;
+    if (!quit() && !shutdown_.load(std::memory_order_acquire)) return false;
+    settle(*slots_[lane]);
+    return true;
+  };
+  for (;;) {
+    if (done()) return nullptr;
     if (Task* task = try_pop(lane)) return task;
     // Short spin only: the helper is a bonus lane; on few-core hosts the
     // workers own the backlog and need the cycles more.
     for (int round = 0; round < kHelperSpinRounds; ++round) {
-      // mo: acquire pairs with shutdown()'s release store.
-      if (quit() || shutdown_.load(std::memory_order_acquire)) return nullptr;
+      if (done()) return nullptr;
       if (Task* task = try_pop(lane)) return task;
       std::this_thread::yield();
     }
-    note_starved(lane);
     // Park on the shared lot. Same seq_cst sleeper/item pairing as the
     // workers, with the quit condition folded into the wait loop — the
     // runtime calls notify_helpers() when it flips, so the wakeup is

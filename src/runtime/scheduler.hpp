@@ -51,9 +51,7 @@ enum class SchedPolicy : std::uint8_t {
 
 /// Point-in-time scheduler observability (gauges + monotonic counters).
 struct SchedulerStats {
-  std::size_t depth = 0;            ///< tasks queued across all structures
-  std::size_t inbox_batch_cap = 0;  ///< adaptive worker-private batch cap (steal only)
-  std::uint64_t steal_misses = 0;   ///< full sweeps that found nothing while work existed
+  std::size_t depth = 0;                ///< tasks queued across all structures
   std::uint64_t steal_attempts = 0;     ///< full steal sweeps started (steal only)
   std::uint64_t steal_fails = 0;        ///< sweeps that returned empty-handed
   std::uint64_t inbox_drains = 0;       ///< wholesale inbox-chain drains
@@ -164,8 +162,7 @@ class CentralScheduler final : public Scheduler {
 /// task per worker after every flush and doubles on each full publish up
 /// to kStageMaxPerLane per worker (slow start: a few tasks reach idle
 /// workers at once, a long stream travels in large chunks). Dealing, not
-/// handing a chunk to one inbox, keeps one worker from adopting it whole
-/// as an unstealable private batch.
+/// handing a chunk to one inbox, spreads the first drains across the pool.
 ///
 /// Liveness: no staged task waits on a thread that sleeps. The staging is
 /// published (1) when a chunk fills; (2) by flush(), which
@@ -189,15 +186,23 @@ class CentralScheduler final : public Scheduler {
 /// the master blocks inside a long task.
 ///
 /// Acquire order for lane w (try_pop):
-///   1. own deque (LIFO — hottest task first),
-///   2. own inbox, drained wholesale into a private batch + deque spill (a
-///      burst of master submissions costs one exchange here, not one
-///      acquire per task),
+///   1. own deque (LIFO while long, FIFO through the top CAS when short —
+///      see WorkStealDeque::pop),
+///   2. own inbox, drained wholesale in one exchange (a burst of master
+///      submissions costs one exchange here, not one acquire per task):
+///      the first task runs, the rest go onto the own deque,
 ///   3. steal: sweep the other lanes in the lane's locality ring order,
-///      first their deque tops (steal-half: up to half the victim's deque
-///      in one CAS, installed as the thief's private batch), then their
-///      inboxes — adopted the same way, so a victim stuck in a long task
-///      cannot strand external submissions.
+///      first their deque tops (steal-half: up to kMaxSteal tasks in one
+///      CAS), then their inboxes, so a victim stuck in a long task cannot
+///      strand external submissions. A stolen batch or chain is kept the
+///      same way: first task run, the rest onto the thief's deque.
+///
+/// Every ready task therefore sits in a structure an idle lane can steal
+/// from: a deque, an inbox, or the submitter's staging (which any parking
+/// lane publishes). No lane holds tasks that no other lane can reach, so a
+/// coarse wave spreads over every executor down to its last tasks. All of
+/// those deque and inbox tasks are counted in items_, and a lane parks only
+/// when items_ reads zero, so no lane sleeps while stealable work exists.
 ///
 /// Victim selection walks a per-lane precomputed ring order — nearest lane
 /// ids first, then widening rings, direction alternating by lane parity —
@@ -209,12 +214,6 @@ class CentralScheduler final : public Scheduler {
 /// skip the sweep entirely, so at high worker counts idle lanes stop
 /// hammering every deque's top cacheline while one producer works.
 /// Backoff resets the moment any acquire succeeds.
-///
-/// The private batch is capped adaptively (kBatchMin..kBatchMax): it grows
-/// while no thief has starved recently (fewer deque fences per task) and
-/// halves whenever a full steal sweep misses while work exists — batched
-/// tasks are invisible to thieves, so starvation is the signal that the
-/// batch is hoarding.
 ///
 /// Idle protocol (pop_blocking): spin a bounded number of acquire rounds
 /// (yielding, so oversubscribed containers do not burn the core), then park
@@ -236,7 +235,9 @@ class StealScheduler final : public Scheduler {
   void flush() override;
   void shutdown() override;
   void reset() override;
-  /// Published tasks only: staged external pushes are not counted.
+  /// Published tasks only: staged external pushes are not counted, and
+  /// tasks a lane acquired while its deque still held work count until
+  /// that deque runs empty.
   [[nodiscard]] std::size_t depth() const noexcept override {
     // mo: relaxed — racy monitoring gauge by contract.
     return items_.load(std::memory_order_relaxed);
@@ -245,9 +246,6 @@ class StealScheduler final : public Scheduler {
 
   /// Largest external chunk, in tasks per worker inbox.
   static constexpr std::uint32_t kStageMaxPerLane = 16;
-  /// Adaptive batch-cap bounds (exposed for tests/benches).
-  static constexpr std::uint32_t kBatchMin = 64;
-  static constexpr std::uint32_t kBatchMax = 512;
   /// Steal-backoff ceiling: after this many consecutive full-miss sweeps'
   /// worth of doubling, a lane skips at most this many sweeps per miss.
   /// Bounded so a lane re-probes within tens of microseconds — liveness
@@ -262,21 +260,10 @@ class StealScheduler final : public Scheduler {
     /// whole chain out and reverses it back to submission order. Idle
     /// sweeps skip empty inboxes with one relaxed load of this pointer.
     std::atomic<Task*> inbox_head{nullptr};
-    /// Owner-private FIFO of drained inbox tasks (chained via inbox_next):
-    /// consuming one is two pointer moves — no deque fence. Capped at the
-    /// adaptive batch cap per drain; the remainder spills to the deque so
-    /// thieves still see a stuck owner's backlog.
-    Task* batch_head = nullptr;
-    /// Tasks left in the private batch: owner-written (relaxed store per
-    /// consume — one cacheline it owns anyway), racily read by thieves to
-    /// tell "work is hoarded in a batch" apart from "system is empty".
-    AtomicCell<std::uint32_t> batch_size{0};
-    /// steal_misses_ snapshot at this owner's last drain: unchanged misses
-    /// since then == no thief starved recently == safe to grow the cap.
-    std::uint64_t last_misses = 0;
-    /// Set by a full steal sweep that missed while work existed (queued or
-    /// batch-hoarded); consumed by note_starved when the lane parks.
-    bool missed_with_work = false;
+    /// Tasks this lane acquired that items_ still counts (owner-private):
+    /// settled in one subtraction once the lane's deque runs empty, when a
+    /// local pop fails, or when the helper leaves its slot.
+    std::size_t unsettled = 0;
     /// Index into victim_order where the next sweep starts: the position of
     /// the last productive victim (keep milking it), reset to 0 (nearest
     /// ring) on a full miss.
@@ -314,21 +301,20 @@ class StealScheduler final : public Scheduler {
   Chunk take_staged() ATM_REQUIRES(staging_lock_);
   /// Count, deal and announce a chunk taken out of the staging.
   void publish(const Chunk& chunk);
-  Task* acquired(Task* task);
+  /// Count `task` as acquired by `me`; settles when `me`'s deque is empty.
+  Task* acquired(WorkerSlot& me, Task* task);
+  /// Subtract `me`'s unsettled acquisitions from items_.
+  void settle(WorkerSlot& me);
   /// Exchange `victim`'s inbox chain out and return it in submission order
   /// (count in *n). nullptr when empty (or a producer is mid-publish).
   static Task* take_inbox_chain(WorkerSlot& victim, std::size_t* n);
-  /// Install a drained chain as `me`'s private batch (first `cap` tasks) +
-  /// deque spill, account it, and return the first task.
-  Task* adopt_chain(WorkerSlot& me, Task* chain, std::size_t n, std::uint32_t cap);
-  /// Install a steal_many() batch (age order, exclusively owned) as `me`'s
-  /// private batch, account it, and return the first task.
-  Task* adopt_batch(WorkerSlot& me, Task* const* tasks, std::size_t n);
+  /// Take a drained inbox chain (submission order, `n` long, exclusively
+  /// owned) into `me`: count the drain, push all but the first task onto
+  /// `me`'s deque, where every other lane can steal them, and return the
+  /// first.
+  Task* adopt_chain(WorkerSlot& me, Task* chain, std::size_t n);
   [[nodiscard]] Task* acquire_local(unsigned lane);
   [[nodiscard]] Task* acquire_steal(unsigned lane);
-  /// Called when `lane` is about to park: if its last sweep missed while
-  /// work existed, count a steal miss and halve the batch cap.
-  void note_starved(unsigned lane);
 
   [[nodiscard]] unsigned lane_count() const noexcept { return workers_ + 1; }
 
@@ -347,18 +333,12 @@ class StealScheduler final : public Scheduler {
   /// Inbox the next chunk's first sub-chain goes to (per-chunk round robin).
   unsigned next_inbox_ ATM_GUARDED_BY(staging_lock_) = 0;
 
-  /// Tasks across all deques + inboxes; also the Figure-8 depth signal.
-  /// (Worker-private batches are excluded — they are committed to an owner;
-  /// thieves detect them via the per-slot batch_size gauge instead. Staged
-  /// external pushes are excluded too: they are counted when published.)
+  /// Tasks across all deques + inboxes, plus acquired tasks not yet settled
+  /// (WorkerSlot::unsettled), so it never reads below the queued count;
+  /// also the Figure-8 depth signal. (Staged external pushes are excluded:
+  /// they are counted when published.)
   alignas(64) std::atomic<std::size_t> items_{0};
   std::atomic<bool> shutdown_{false};
-
-  /// Adaptive private-batch cap shared by all owners (kBatchMin..kBatchMax).
-  std::atomic<std::uint32_t> batch_cap_{kBatchMin};
-  /// Full steal sweeps that found nothing while work existed (queued or
-  /// batch-hoarded): the starvation signal that shrinks batch_cap_.
-  std::atomic<std::uint64_t> steal_misses_{0};
 
   /// Lanes registered to park. The submitter loads it after every staged
   /// push, so it sits apart from items_, which every acquire writes.

@@ -17,10 +17,11 @@
 // kMaxSteal elements (no thief claim, which always starts at top and spans
 // at most kMaxSteal slots, can reach the bottom slot). Once the deque is
 // shorter than that, pop() switches to consuming from the TOP via the same
-// CAS the thieves use, racing them slot-for-slot. The last kMaxSteal tasks
-// of a run are therefore popped FIFO instead of LIFO — a cache-warmth
-// trade, not a correctness one — while long deques (the storm steady state,
-// where inbox spills keep hundreds queued) keep the CAS-free owner path.
+// CAS the thieves use, racing them slot-for-slot; it needs no bottom
+// reservation and no fence then, since top-side claims are serialized by
+// the CAS alone. The last kMaxSteal tasks of a run are therefore popped FIFO
+// instead of LIFO — a cache-warmth trade, not a correctness one — while
+// long deques keep the CAS-free owner path.
 //
 // The circular buffer grows geometrically and never shrinks. Retired buffers
 // are kept alive until the deque is destroyed: a thief may still be reading a
@@ -120,6 +121,18 @@ class WorkStealDeque {
     // provides the only cross-thread ordering pop needs.
     const std::int64_t b = bottom_.load(detail::relax_unless_tsan(std::memory_order_relaxed)) - 1;
     Buffer* buf = buffer_.load(detail::relax_unless_tsan(std::memory_order_relaxed));
+    // mo: relaxed — a stale top only understates it (top never decreases),
+    // which sends a short deque down the fenced path below; correct, just
+    // slower.
+    std::int64_t t = top_.load(detail::relax_unless_tsan(std::memory_order_relaxed));
+    if (b - t < static_cast<std::int64_t>(kMaxSteal)) {
+      // Short deque: take from the top through the claiming CAS right away.
+      // No bottom reservation or fence is needed — the owner's own bottom
+      // cannot move under it, and every top slot goes to one winning CAS.
+      return pop_top(buf, t, b);
+    }
+    // mo: relaxed — reserve slot b; bottom is owner-private and the fence
+    // below orders this store before the top reload.
     bottom_.store(b, detail::relax_unless_tsan(std::memory_order_relaxed));
     // mo: seq_cst fence — the bottom store must be ordered before the top
     // load (store-load), mirroring the fence in steal_many(): either the
@@ -127,7 +140,7 @@ class WorkStealDeque {
     // and caps its claim below slot b. mo: relaxed top load — the fence
     // carries the ordering.
     detail::deque_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(detail::relax_unless_tsan(std::memory_order_relaxed));
+    t = top_.load(detail::relax_unless_tsan(std::memory_order_relaxed));
     if (t > b) {
       // mo: relaxed — deque was empty; undo the owner-private reservation.
       bottom_.store(b + 1, detail::relax_unless_tsan(std::memory_order_relaxed));
@@ -141,25 +154,12 @@ class WorkStealDeque {
       // mo: relaxed slot load — the owner published this slot itself.
       return buf->slot(b).load(detail::relax_unless_tsan(std::memory_order_relaxed));
     }
-    // Short deque: slot b may sit inside a thief's batch claim. Give the
-    // bottom reservation back and consume from the top instead, claiming
-    // slot t with the same CAS the thieves use — every slot is then handed
-    // out by exactly one winning top-CAS.
+    // Thieves shortened the deque meanwhile: slot b may sit inside a
+    // thief's batch claim. Give the bottom reservation back and consume
+    // from the top instead.
     // mo: relaxed — bottom is owner-private.
     bottom_.store(b + 1, detail::relax_unless_tsan(std::memory_order_relaxed));
-    while (t <= b) {
-      // mo: relaxed slot load — read before the claiming CAS, the same
-      // idiom as steal(): the slot cannot be overwritten while top == t
-      // (push bounds b - top below capacity), and a failed CAS discards it.
-      Task* task = buf->slot(t).load(detail::relax_unless_tsan(std::memory_order_relaxed));
-      // mo: seq_cst CAS — claims slot t against the thieves; relaxed on
-      // failure (the reloaded expected value restarts the loop).
-      if (top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                       detail::relax_unless_tsan(std::memory_order_relaxed))) {
-        return task;
-      }
-    }
-    return nullptr;  // thieves drained the tail
+    return pop_top(buf, t, b);
   }
 
   /// Thieves: steal the oldest task; nullptr when empty or lost a race.
@@ -267,6 +267,25 @@ class WorkStealDeque {
     std::size_t p = 8;
     while (p < n) p <<= 1;
     return p;
+  }
+
+  /// Owner only (called from pop, bottom not reserved): claim the top slot
+  /// with the same CAS the thieves use, so every slot is handed out by
+  /// exactly one winning top-CAS. `t` is a top read, `b` the last slot.
+  Task* pop_top(Buffer* buf, std::int64_t t, std::int64_t b) {
+    while (t <= b) {
+      // mo: relaxed slot load — read before the claiming CAS, the same
+      // idiom as steal(): the slot cannot be overwritten while top == t
+      // (push bounds b - top below capacity), and a failed CAS discards it.
+      Task* task = buf->slot(t).load(detail::relax_unless_tsan(std::memory_order_relaxed));
+      // mo: seq_cst CAS — claims slot t against the thieves; relaxed on
+      // failure (the reloaded expected value restarts the loop).
+      if (top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
+                                       detail::relax_unless_tsan(std::memory_order_relaxed))) {
+        return task;
+      }
+    }
+    return nullptr;  // empty, or thieves drained the tail
   }
 
   /// Owner only (called from push): double the buffer, copy live slots.

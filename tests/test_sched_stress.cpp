@@ -526,9 +526,9 @@ TEST(SchedStress, TraceLanesStayConsistentUnderStealing) {
 // --- MPSC inboxes (lock-free external submission path) ----------------------
 
 // Many producer threads share the external staging and its chunked
-// publication to the lock-free inboxes while workers drain them (private
-// batch + deque spill + steals): every task is consumed exactly once, none
-// lost, none duplicated.
+// publication to the lock-free inboxes while workers drain them (first task
+// run, the rest onto the drainer's deque, where other workers steal them):
+// every task is consumed exactly once, none lost, none duplicated.
 TEST(StealScheduler, MpscInboxManyProducersExactlyOnce) {
   constexpr unsigned kWorkers = 3;
   constexpr int kProducers = 4;
@@ -555,8 +555,9 @@ TEST(StealScheduler, MpscInboxManyProducersExactlyOnce) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        // All producers push from non-worker lanes (external submissions).
-        sched->push(&tasks[p * kPerProducer + i], /*lane=*/kWorkers + p);
+        // All producers push from lanes past the helper slot (index
+        // kWorkers): external submissions.
+        sched->push(&tasks[p * kPerProducer + i], /*lane=*/kWorkers + 1 + p);
       }
     });
   }

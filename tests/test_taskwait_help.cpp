@@ -57,8 +57,9 @@ TEST(TaskwaitHelp, MasterExecutesTasksWhileWorkerBusy) {
             },
             {inout(&blocker_cell, 1)});
   // Let the worker commit to the blocker before the quick tasks exist, so
-  // they cannot ride into its private batch — they must sit in the inbox
-  // until the helping master (the only runnable lane) steals them.
+  // the master cannot take the blocker itself: the quick tasks then sit in
+  // the worker's inbox until the helping master (the only runnable lane)
+  // steals them.
   while (!blocker_started.load()) std::this_thread::yield();
 
   constexpr int kQuick = 64;
